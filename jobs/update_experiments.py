@@ -4,11 +4,13 @@ Each `<!-- TABLEXX -->` marker is followed by a fenced block that this
 script (re)generates from the saved structured results; paper numbers in
 the prose above each marker stay untouched.
 """
-import _common  # noqa: F401
 import os
 import re
+import sys
 
-from repro.harness import tables as T
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from repro.harness import tables as T  # noqa: E402
 
 MD = os.path.join(os.path.dirname(__file__), "..", "EXPERIMENTS.md")
 
@@ -34,9 +36,6 @@ def main() -> None:
     suite_h = maybe("suite_tpch.json")
     suite_ds = maybe("suite_tpcds.json")
 
-    def largest(suite):
-        return suite["sfs"][str(max(float(s) for s in suite["sfs"]))]
-
     if (d := maybe("table01_tpch_loading.json")) is not None:
         rows = [
             [f"SF-{r['sf']}", r["duckdb_s"], r["spark_parquet_s"], r["tag_s"]]
@@ -58,12 +57,12 @@ def main() -> None:
             T.render_table(["SF", "duckdb load+index (s)", "parquet (s)", "TAG build (s)"], rows),
         )
     if suite_h is not None:
-        text = _block("TABLE03", text, T.table_03(largest(suite_h))[0])
-        text = _block("TABLE04", text, T.table_04(largest(suite_h))[0])
+        text = _block("TABLE03", text, T.table_03(T.largest_sf(suite_h))[0])
+        text = _block("TABLE04", text, T.table_04(T.largest_sf(suite_h))[0])
         text = _block("TABLE08", text, T.table_all_queries(suite_h, "tpch")[0])
     if suite_ds is not None:
-        text = _block("TABLE05", text, T.table_05(largest(suite_ds))[0])
-        text = _block("TABLE06", text, T.table_06(largest(suite_ds))[0])
+        text = _block("TABLE05", text, T.table_05(T.largest_sf(suite_ds))[0])
+        text = _block("TABLE06", text, T.table_06(T.largest_sf(suite_ds))[0])
         text = _block("TABLE11", text, T.table_all_queries(suite_ds, "tpcds")[0])
     if suite_h is not None and suite_ds is not None:
         text = _block("TABLE14", text, T.table_14(suite_h, suite_ds)[0])

@@ -82,39 +82,3 @@ def node_frame(
         df = df.groupBy(*[F.col(k) for k in node.preagg.keys]).agg(*aggs)
     return df
 
-
-def left_outer_two_way(
-    graph: TAGGraph,
-    left: Node,
-    right: Node,
-    on: tuple[str, str],
-    stats: RunStats | None = None,
-) -> DataFrame:
-    """§7 'Outer Joins': two-way left outer join in TAG form.
-
-    The attribute vertex only requires an edge to the *left* relation to
-    stay active (dangling left tuples survive); right tuples still require a
-    join partner. Right outer is this with arguments swapped; full outer
-    needs no reduction at all (both sides go straight to collection).
-    """
-    lcol, rcol = on
-    l_df = graph.tuples[left.relation]
-    if left.filter:
-        l_df = l_df.where(left.filter)
-    r_df = graph.tuples[right.relation]
-    if right.filter:
-        r_df = r_df.where(right.filter)
-    l_df = l_df.drop(TID)
-    r_df = r_df.drop(TID)
-    joined = l_df.join(r_df, on=F.col(lcol) == F.col(rcol), how="left")
-    if stats is not None:
-        stats.traces.append(
-            StepTrace(
-                phase="collect",
-                superstep=1,
-                label=f"{left.name} left⟕ {right.name}",
-                kind="join",
-                messages=joined.count(),
-            )
-        )
-    return joined

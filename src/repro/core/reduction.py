@@ -26,7 +26,6 @@ every label-edge target) — exactly Algorithm 2's communication.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
@@ -132,16 +131,8 @@ def reduce_phase(
             # Superstep barrier: the BSP model materialises every message
             # round; localCheckpoint truncates lineage so each superstep is
             # one unit of work over the cached edge tables rather than a
-            # re-execution of the whole history. Setting REPRO_TAG_FUSED=1
-            # elides the physical barrier and lets Catalyst fuse the whole
-            # superstep sequence into one DAG — the logical supersteps are
-            # unchanged (Lemma 5.1's operation sequence), only the barrier
-            # cost is removed; used to isolate barrier overhead in the
-            # benchmarks (see EXPERIMENTS.md).
-            if stats is None and os.environ.get("REPRO_TAG_FUSED"):
-                pass
-            else:
-                new_active = new_active.localCheckpoint(eager=stats is not None)
+            # re-execution of the whole history.
+            new_active = new_active.localCheckpoint(eager=stats is not None)
             if not active_is_tuples:
                 reduced[alias] = new_active
             if stats is not None:
@@ -159,5 +150,7 @@ def reduce_phase(
 
     out = {a: tids(a) for a in reduced}
     if stats is not None:
-        stats.reduced_sizes = {a: df.count() for a, df in out.items()}
+        # update, not replace: subqueries and union members share one
+        # RunStats, and each run adds its own relations.
+        stats.reduced_sizes.update({a: df.count() for a, df in out.items()})
     return out

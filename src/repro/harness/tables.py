@@ -4,8 +4,8 @@ Scale-factor mapping (DESIGN.md): the paper's SF 30/50/75 (GB) become our
 SF 0.025/0.05/0.1 — same 1:2:3-ish progression, laptop-scale data.
 
 Each ``table_XX`` function prints rows shaped like the paper's table and
-returns the structured data; ``jobs/tableXX_*.py`` are spark-submit
-wrappers, and EXPERIMENTS.md records paper numbers next to ours.
+returns the structured data; ``jobs/run.py <table>`` runs them and saves
+the JSON, and EXPERIMENTS.md records paper numbers next to ours.
 
 The timing-bearing tables (3/4/8–13 and 5/6/14 derived from them) share
 one measurement suite per benchmark (``run_suite``) so a query is timed
@@ -107,6 +107,11 @@ def save_json(obj: dict, name: str) -> str:
 def load_json(name: str) -> dict:
     with open(os.path.join(RESULTS_DIR, name)) as f:
         return json.load(f)
+
+
+def largest_sf(suite: dict) -> list[dict]:
+    """The results at the suite's largest SF (the paper's SF-75 column)."""
+    return suite["sfs"][str(max(float(s) for s in suite["sfs"]))]
 
 
 def render_table(headers: list[str], rows: list[list], title: str = "") -> str:

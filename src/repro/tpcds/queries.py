@@ -16,14 +16,8 @@ to the TPC-DS-lite schema (see DESIGN.md substitutions).
 """
 from __future__ import annotations
 
-from functools import reduce as _reduce
-
-from pyspark.sql import functions as F
-
-from ..core.spec import Node, Preagg, QuerySpec
-from ..core.tag import TAGGraph
-from ..core.tagjoin import run_reduction_only, run_spec
-from ..tpch.queries import Query, _merged, _spec_impl
+from ..core.spec import Node, Preagg, QuerySpec, Subquery
+from ..tpch.queries import Query
 
 QUERIES: dict[str, Query] = {}
 
@@ -48,33 +42,30 @@ FROM item, store_sales
 WHERE i_item_sk = ss_item_sk
   AND i_current_price BETWEEN 20 AND 25 AND i_category = 'Books'
 """,
-        # A pure semijoin: items that sold. Reduction-only TAG run — the
+        # A pure semijoin: items that sold. Reduction-only TAG run: the
         # reduced root is the answer, no collection multiplicities.
-        tag=lambda graph, stats=False: run_reduction_only(
-            graph,
-            QuerySpec(
-                name="ds_q37",
-                root=Node(
-                    relation="item",
-                    filter=(
-                        "i_current_price BETWEEN 20 AND 25 "
-                        "AND i_category = 'Books'"
-                    ),
-                    need=["i_item_id", "i_current_price"],
-                    children=[
-                        Node(
-                            relation="store_sales",
-                            parent_join=("i_item_sk", "ss_item_sk"),
-                        )
-                    ],
+        spec=QuerySpec(
+            name="ds_q37",
+            root=Node(
+                relation="item",
+                filter=(
+                    "i_current_price BETWEEN 20 AND 25 "
+                    "AND i_category = 'Books'"
                 ),
-                select=[
-                    ("i_item_id", "i_item_id"),
-                    ("i_current_price", "i_current_price"),
+                need=["i_item_id", "i_current_price"],
+                children=[
+                    Node(
+                        relation="store_sales",
+                        parent_join=("i_item_sk", "ss_item_sk"),
+                    )
                 ],
-                distinct=True,
             ),
-            stats=stats,
+            select=[
+                ("i_item_id", "i_item_id"),
+                ("i_current_price", "i_current_price"),
+            ],
+            distinct=True,
+            reduce_only=True,
         ),
     )
 )
@@ -91,27 +82,25 @@ FROM customer, customer_address
 WHERE c_current_addr_sk = ca_address_sk
   AND ca_state = 'CA' AND c_birth_year BETWEEN 1980 AND 1985
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q84",
-                root=Node(
-                    relation="customer",
-                    filter="c_birth_year BETWEEN 1980 AND 1985",
-                    need=["c_customer_id"],
-                    children=[
-                        Node(
-                            relation="customer_address",
-                            parent_join=("c_current_addr_sk", "ca_address_sk"),
-                            filter="ca_state = 'CA'",
-                            need=["ca_county"],
-                        )
-                    ],
-                ),
-                select=[
-                    ("c_customer_id", "customer_id"),
-                    ("ca_county", "county"),
+        spec=QuerySpec(
+            name="ds_q84",
+            root=Node(
+                relation="customer",
+                filter="c_birth_year BETWEEN 1980 AND 1985",
+                need=["c_customer_id"],
+                children=[
+                    Node(
+                        relation="customer_address",
+                        parent_join=("c_current_addr_sk", "ca_address_sk"),
+                        filter="ca_state = 'CA'",
+                        need=["ca_county"],
+                    )
                 ],
-            )
+            ),
+            select=[
+                ("c_customer_id", "customer_id"),
+                ("ca_county", "county"),
+            ],
         ),
     )
 )
@@ -135,33 +124,31 @@ WHERE ss_sold_date_sk = d_date_sk AND ss_item_sk = i_item_sk
   AND d_year = 2000
 GROUP BY i_item_id
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q7",
-                root=Node(
-                    relation="store_sales",
-                    need=["ss_quantity", "ss_sales_price", "ss_ext_sales_price"],
-                    children=[
-                        Node(
-                            relation="date_dim",
-                            parent_join=("ss_sold_date_sk", "d_date_sk"),
-                            filter="d_year = 2000",
-                        ),
-                        Node(
-                            relation="item",
-                            parent_join=("ss_item_sk", "i_item_sk"),
-                            need=["i_item_id"],
-                        ),
-                    ],
-                ),
-                group_by=["i_item_id"],
-                aggregates=[
-                    ("avg(ss_quantity)", "agg1"),
-                    ("avg(ss_sales_price)", "agg2"),
-                    ("avg(ss_ext_sales_price)", "agg3"),
+        spec=QuerySpec(
+            name="ds_q7",
+            root=Node(
+                relation="store_sales",
+                need=["ss_quantity", "ss_sales_price", "ss_ext_sales_price"],
+                children=[
+                    Node(
+                        relation="date_dim",
+                        parent_join=("ss_sold_date_sk", "d_date_sk"),
+                        filter="d_year = 2000",
+                    ),
+                    Node(
+                        relation="item",
+                        parent_join=("ss_item_sk", "i_item_sk"),
+                        need=["i_item_id"],
+                    ),
                 ],
-                agg_class="LA",
-            )
+            ),
+            group_by=["i_item_id"],
+            aggregates=[
+                ("avg(ss_quantity)", "agg1"),
+                ("avg(ss_sales_price)", "agg2"),
+                ("avg(ss_ext_sales_price)", "agg3"),
+            ],
+            agg_class="LA",
         ),
     )
 )
@@ -180,39 +167,36 @@ WHERE ws_item_sk = i_item_sk AND i_category IN ('Books', 'Home')
   AND ws_sold_date_sk = d_date_sk AND d_year = 1999 AND d_moy BETWEEN 2 AND 3
 GROUP BY i_item_id, i_category
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q12",
-                root=Node(
-                    relation="web_sales",
-                    need=["ws_ext_sales_price"],
-                    children=[
-                        Node(
-                            relation="item",
-                            parent_join=("ws_item_sk", "i_item_sk"),
-                            filter="i_category IN ('Books', 'Home')",
-                            need=["i_item_id", "i_category"],
-                        ),
-                        Node(
-                            relation="date_dim",
-                            parent_join=("ws_sold_date_sk", "d_date_sk"),
-                            filter="d_year = 1999 AND d_moy BETWEEN 2 AND 3",
-                        ),
-                    ],
-                ),
-                group_by=["i_item_id", "i_category"],
-                aggregates=[("sum(ws_ext_sales_price)", "itemrevenue")],
-                agg_class="LA",
-            )
+        spec=QuerySpec(
+            name="ds_q12",
+            root=Node(
+                relation="web_sales",
+                need=["ws_ext_sales_price"],
+                children=[
+                    Node(
+                        relation="item",
+                        parent_join=("ws_item_sk", "i_item_sk"),
+                        filter="i_category IN ('Books', 'Home')",
+                        need=["i_item_id", "i_category"],
+                    ),
+                    Node(
+                        relation="date_dim",
+                        parent_join=("ws_sold_date_sk", "d_date_sk"),
+                        filter="d_year = 1999 AND d_moy BETWEEN 2 AND 3",
+                    ),
+                ],
+            ),
+            group_by=["i_item_id", "i_category"],
+            aggregates=[("sum(ws_ext_sales_price)", "itemrevenue")],
+            agg_class="LA",
         ),
     )
 )
 
 
-def _channel_spec(name: str, fact: str, prefix: str, cust_col: str) -> QuerySpec:
+def _channel_spec(name: str, fact: str, prefix: str) -> QuerySpec:
     """One channel of ds_q33: fact ⋈ item(Electronics) ⋈ date(2000-01),
     eagerly aggregated by manufacturer."""
-    del cust_col  # not used by this query
     return QuerySpec(
         name=name,
         root=Node(
@@ -238,31 +222,19 @@ def _channel_spec(name: str, fact: str, prefix: str, cust_col: str) -> QuerySpec
     )
 
 
-_Q33_CHANNELS = [
-    _channel_spec("ds_q33_ss", "store_sales", "ss", "ss_customer_sk"),
-    _channel_spec("ds_q33_cs", "catalog_sales", "cs", "cs_bill_customer_sk"),
-    _channel_spec("ds_q33_ws", "web_sales", "ws", "ws_bill_customer_sk"),
-]
-
-
-def _q33_tag(graph: TAGGraph, stats: bool = False):
-    """Multi-fact union with per-channel eager aggregation (§7): each fact
-    table aggregates down to one row per manufacturer before the union."""
-    frames, all_stats = [], []
-    for spec in _Q33_CHANNELS:
-        df, s = run_spec(graph, spec, stats=stats)
-        frames.append(df)
-        all_stats.append(s)
-    union = _reduce(lambda a, b: a.unionByName(b), frames)
-    out = (
-        union.groupBy("i_manufact_id")
-        .agg(F.sum("total_sales").alias("total_sales"))
-        .select(
-            F.col("i_manufact_id").alias("i_manufact_id"),
-            F.col("total_sales").alias("total_sales"),
-        )
-    )
-    return out, _merged(*all_stats)
+# Multi-fact union with per-channel eager aggregation (§7): each fact table
+# aggregates down to one row per manufacturer before the union.
+_Q33 = QuerySpec(
+    name="ds_q33",
+    union=[
+        _channel_spec("ds_q33_ss", "store_sales", "ss"),
+        _channel_spec("ds_q33_cs", "catalog_sales", "cs"),
+        _channel_spec("ds_q33_ws", "web_sales", "ws"),
+    ],
+    group_by=["i_manufact_id"],
+    aggregates=[("sum(total_sales)", "total_sales")],
+    agg_class="LA",
+)
 
 
 _register(
@@ -291,7 +263,7 @@ SELECT i_manufact_id AS i_manufact_id, sum(total_sales) AS total_sales
 FROM (SELECT * FROM ss UNION ALL SELECT * FROM cs UNION ALL SELECT * FROM ws) u
 GROUP BY i_manufact_id
 """,
-        tag=_q33_tag,
+        spec=_Q33,
     )
 )
 
@@ -312,39 +284,37 @@ GROUP BY i_item_id, i_class
 """,
         # Eager group-by (§7): the store_sales subtree (fact ⋈ date filter)
         # pre-aggregates per item key before joining the item dimension.
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q98",
-                root=Node(
-                    relation="item",
-                    filter="i_category = 'Sports'",
-                    need=["i_item_id", "i_class"],
-                    children=[
-                        Node(
-                            relation="store_sales",
-                            parent_join=("i_item_sk", "ss_item_sk"),
-                            need=["ss_ext_sales_price"],
-                            preagg=Preagg(
-                                keys=["ss_item_sk"],
-                                aggs=[("sum(ss_ext_sales_price)", "pre_rev")],
-                            ),
-                            children=[
-                                Node(
-                                    relation="date_dim",
-                                    parent_join=("ss_sold_date_sk", "d_date_sk"),
-                                    filter=(
-                                        "d_date BETWEEN date'1999-02-22' "
-                                        "AND date'1999-03-24'"
-                                    ),
-                                )
-                            ],
-                        )
-                    ],
-                ),
-                group_by=["i_item_id", "i_class"],
-                aggregates=[("sum(pre_rev)", "itemrevenue")],
-                agg_class="LA",
-            )
+        spec=QuerySpec(
+            name="ds_q98",
+            root=Node(
+                relation="item",
+                filter="i_category = 'Sports'",
+                need=["i_item_id", "i_class"],
+                children=[
+                    Node(
+                        relation="store_sales",
+                        parent_join=("i_item_sk", "ss_item_sk"),
+                        need=["ss_ext_sales_price"],
+                        preagg=Preagg(
+                            keys=["ss_item_sk"],
+                            aggs=[("sum(ss_ext_sales_price)", "pre_rev")],
+                        ),
+                        children=[
+                            Node(
+                                relation="date_dim",
+                                parent_join=("ss_sold_date_sk", "d_date_sk"),
+                                filter=(
+                                    "d_date BETWEEN date'1999-02-22' "
+                                    "AND date'1999-03-24'"
+                                ),
+                            )
+                        ],
+                    )
+                ],
+            ),
+            group_by=["i_item_id", "i_class"],
+            aggregates=[("sum(pre_rev)", "itemrevenue")],
+            agg_class="LA",
         ),
     )
 )
@@ -368,38 +338,36 @@ WHERE ws_bill_customer_sk = c_customer_sk
   AND ws_sold_date_sk = d_date_sk AND d_qoy = 2 AND d_year = 2001
 GROUP BY ca_county, ca_state
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q45",
-                root=Node(
-                    relation="web_sales",
-                    need=["ws_ext_sales_price"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("ws_bill_customer_sk", "c_customer_sk"),
-                            children=[
-                                Node(
-                                    relation="customer_address",
-                                    parent_join=(
-                                        "c_current_addr_sk",
-                                        "ca_address_sk",
-                                    ),
-                                    need=["ca_county", "ca_state"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="date_dim",
-                            parent_join=("ws_sold_date_sk", "d_date_sk"),
-                            filter="d_qoy = 2 AND d_year = 2001",
-                        ),
-                    ],
-                ),
-                group_by=["ca_county", "ca_state"],
-                aggregates=[("sum(ws_ext_sales_price)", "total")],
-                agg_class="GA",
-            )
+        spec=QuerySpec(
+            name="ds_q45",
+            root=Node(
+                relation="web_sales",
+                need=["ws_ext_sales_price"],
+                children=[
+                    Node(
+                        relation="customer",
+                        parent_join=("ws_bill_customer_sk", "c_customer_sk"),
+                        children=[
+                            Node(
+                                relation="customer_address",
+                                parent_join=(
+                                    "c_current_addr_sk",
+                                    "ca_address_sk",
+                                ),
+                                need=["ca_county", "ca_state"],
+                            )
+                        ],
+                    ),
+                    Node(
+                        relation="date_dim",
+                        parent_join=("ws_sold_date_sk", "d_date_sk"),
+                        filter="d_qoy = 2 AND d_year = 2001",
+                    ),
+                ],
+            ),
+            group_by=["ca_county", "ca_state"],
+            aggregates=[("sum(ws_ext_sales_price)", "total")],
+            agg_class="GA",
         ),
     )
 )
@@ -417,43 +385,41 @@ WHERE c_current_addr_sk = ca_address_sk AND ss_customer_sk = c_customer_sk
   AND ss_sold_date_sk = d_date_sk AND d_year = 2001 AND d_moy BETWEEN 1 AND 3
 GROUP BY ca_state, c_preferred_cust_flag
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q69",
-                root=Node(
-                    relation="store_sales",
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("ss_customer_sk", "c_customer_sk"),
-                            need=["c_preferred_cust_flag"],
-                            children=[
-                                Node(
-                                    relation="customer_address",
-                                    parent_join=(
-                                        "c_current_addr_sk",
-                                        "ca_address_sk",
-                                    ),
-                                    need=["ca_state"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="date_dim",
-                            parent_join=("ss_sold_date_sk", "d_date_sk"),
-                            filter="d_year = 2001 AND d_moy BETWEEN 1 AND 3",
-                        ),
-                    ],
-                ),
-                group_by=["ca_state", "c_preferred_cust_flag"],
-                aggregates=[("count(*)", "cnt")],
-                select=[
-                    ("ca_state", "ca_state"),
-                    ("c_preferred_cust_flag", "pref"),
-                    ("cnt", "cnt"),
+        spec=QuerySpec(
+            name="ds_q69",
+            root=Node(
+                relation="store_sales",
+                children=[
+                    Node(
+                        relation="customer",
+                        parent_join=("ss_customer_sk", "c_customer_sk"),
+                        need=["c_preferred_cust_flag"],
+                        children=[
+                            Node(
+                                relation="customer_address",
+                                parent_join=(
+                                    "c_current_addr_sk",
+                                    "ca_address_sk",
+                                ),
+                                need=["ca_state"],
+                            )
+                        ],
+                    ),
+                    Node(
+                        relation="date_dim",
+                        parent_join=("ss_sold_date_sk", "d_date_sk"),
+                        filter="d_year = 2001 AND d_moy BETWEEN 1 AND 3",
+                    ),
                 ],
-                agg_class="GA",
-            )
+            ),
+            group_by=["ca_state", "c_preferred_cust_flag"],
+            aggregates=[("count(*)", "cnt")],
+            select=[
+                ("ca_state", "ca_state"),
+                ("c_preferred_cust_flag", "pref"),
+                ("cnt", "cnt"),
+            ],
+            agg_class="GA",
         ),
     )
 )
@@ -475,33 +441,31 @@ WHERE i_manufact_id = 77 AND i_item_sk = cs_item_sk
   AND d_date BETWEEN date '2000-01-27' AND date '2000-04-26'
   AND d_date_sk = cs_sold_date_sk
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q32",
-                root=Node(
-                    relation="catalog_sales",
-                    need=["cs_ext_sales_price"],
-                    children=[
-                        Node(
-                            relation="item",
-                            parent_join=("cs_item_sk", "i_item_sk"),
-                            filter="i_manufact_id = 77",
+        spec=QuerySpec(
+            name="ds_q32",
+            root=Node(
+                relation="catalog_sales",
+                need=["cs_ext_sales_price"],
+                children=[
+                    Node(
+                        relation="item",
+                        parent_join=("cs_item_sk", "i_item_sk"),
+                        filter="i_manufact_id = 77",
+                    ),
+                    Node(
+                        relation="date_dim",
+                        parent_join=("cs_sold_date_sk", "d_date_sk"),
+                        filter=(
+                            "d_date BETWEEN date'2000-01-27' "
+                            "AND date'2000-04-26'"
                         ),
-                        Node(
-                            relation="date_dim",
-                            parent_join=("cs_sold_date_sk", "d_date_sk"),
-                            filter=(
-                                "d_date BETWEEN date'2000-01-27' "
-                                "AND date'2000-04-26'"
-                            ),
-                        ),
-                    ],
-                ),
-                aggregates=[
-                    ("sum(cs_ext_sales_price)", "excess_discount_amount")
+                    ),
                 ],
-                agg_class="scalar",
-            )
+            ),
+            aggregates=[
+                ("sum(cs_ext_sales_price)", "excess_discount_amount")
+            ],
+            agg_class="scalar",
         ),
     )
 )
@@ -510,8 +474,17 @@ WHERE i_manufact_id = 77 AND i_item_sk = cs_item_sk
 # Correlated subquery
 # ---------------------------------------------------------------------------
 
-_Q6_OUTER = QuerySpec(
-    name="ds_q6_outer",
+_Q6_INNER = QuerySpec(
+    name="ds_q6_inner",
+    root=Node(relation="item", need=["i_category", "i_current_price"]),
+    group_by=["i_category"],
+    aggregates=[("avg(i_current_price)", "cat_avg")],
+    select=[("i_category", "cat"), ("cat_avg", "cat_avg")],
+    agg_class="LA",
+)
+
+_Q6 = QuerySpec(
+    name="ds_q6",
     root=Node(
         relation="store_sales",
         children=[
@@ -538,35 +511,12 @@ _Q6_OUTER = QuerySpec(
             ),
         ],
     ),
-    select=[
-        ("ca_state", "ca_state"),
-        ("i_current_price", "i_current_price"),
-        ("i_category", "i_category"),
-    ],
+    subqueries=[Subquery(_Q6_INNER, on=[("i_category", "cat")])],
+    post_filter="i_current_price > 1.2 * cat_avg",
+    group_by=["ca_state"],
+    aggregates=[("count(*)", "cnt")],
+    agg_class="GA",
 )
-
-_Q6_INNER = QuerySpec(
-    name="ds_q6_inner",
-    root=Node(relation="item", need=["i_category", "i_current_price"]),
-    group_by=["i_category"],
-    aggregates=[("avg(i_current_price)", "cat_avg")],
-    select=[("i_category", "cat"), ("cat_avg", "cat_avg")],
-    agg_class="LA",
-)
-
-
-def _q6_tag(graph: TAGGraph, stats: bool = False):
-    outer, s1 = run_spec(graph, _Q6_OUTER, stats=stats)
-    inner, s2 = run_spec(graph, _Q6_INNER, stats=stats)
-    joined = outer.join(inner, on=outer.i_category == inner.cat).where(
-        F.col("i_current_price") > 1.2 * F.col("cat_avg")
-    )
-    result = (
-        joined.groupBy("ca_state")
-        .agg(F.count("*").alias("cnt"))
-        .select(F.col("ca_state").alias("ca_state"), F.col("cnt").alias("cnt"))
-    )
-    return result, _merged(s1, s2)
 
 
 _register(
@@ -585,7 +535,7 @@ WHERE ca_address_sk = c_current_addr_sk AND c_customer_sk = ss_customer_sk
                                  WHERE j.i_category = i.i_category)
 GROUP BY ca_state
 """,
-        tag=_q6_tag,
+        spec=_Q6,
     )
 )
 

@@ -1,9 +1,10 @@
 """TPC-H-lite queries: TAG-join spec + identical SQL text per query.
 
 Each :class:`Query` carries SQL that runs verbatim on both Spark SQL and
-DuckDB (the comparison systems) and a TAG implementation over a
-:class:`~repro.core.tag.TAGGraph`. Output columns are aliased identically on
-all paths so the DuckDB oracle can diff them.
+DuckDB (the comparison systems) and a :class:`~repro.core.spec.QuerySpec`
+that TAG-join evaluates over a :class:`~repro.core.tag.TAGGraph`. Output
+columns are aliased identically on all paths so the DuckDB oracle can diff
+them.
 
 Coverage vs the paper (§8.1.1 runs all 22; we keep 15 representative ones —
 see DESIGN.md for the substitution note). Queries are tagged with the
@@ -20,17 +21,10 @@ column and alias it to the SQL output name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from ..core.reduction import RunStats
-from ..core.spec import Node, QuerySpec
+from ..core.spec import Node, QuerySpec, Subquery
 from ..core.tag import TAGGraph
 from ..core.tagjoin import run_reduction_only, run_spec
-
-TagImpl = Callable[[TAGGraph, bool], tuple[DataFrame, RunStats]]
 
 
 @dataclass
@@ -40,25 +34,16 @@ class Query:
     tables: list[str]
     agg_class: str  # 'none' | 'LA' | 'GA' | 'GA_S'
     paper_class: str  # the class the paper's tables group it under
-    tag: TagImpl = field(repr=False, default=None)
+    spec: QuerySpec = field(repr=False)
 
     def run_tag(self, graph: TAGGraph, stats: bool = False):
-        return self.tag(graph, stats)
+        """The TAG-join run of this query, for both suites.
 
-
-def _spec_impl(spec: QuerySpec) -> TagImpl:
-    def impl(graph: TAGGraph, stats: bool = False):
-        return run_spec(graph, spec, stats=stats)
-
-    return impl
-
-
-def _merged(*stats_list: RunStats) -> RunStats:
-    out = RunStats()
-    for s in stats_list:
-        out.traces.extend(s.traces)
-        out.reduced_sizes.update(s.reduced_sizes)
-    return out
+        ``run_spec`` / ``run_reduction_only`` are looked up in this module
+        at call time, so a caller can wrap them for every query at once.
+        """
+        run = run_reduction_only if self.spec.reduce_only else run_spec
+        return run(graph, self.spec, stats=stats)
 
 
 QUERIES: dict[str, Query] = {}
@@ -91,29 +76,27 @@ FROM lineitem
 WHERE l_shipdate <= date '1998-09-02'
 GROUP BY l_returnflag, l_linestatus
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q1",
-                root=Node(
-                    relation="lineitem",
-                    filter="l_shipdate <= date'1998-09-02'",
+        spec=QuerySpec(
+            name="q1",
+            root=Node(
+                relation="lineitem",
+                filter="l_shipdate <= date'1998-09-02'",
+            ),
+            group_by=["l_returnflag", "l_linestatus"],
+            aggregates=[
+                ("sum(l_quantity)", "sum_qty"),
+                ("sum(l_extendedprice)", "sum_base_price"),
+                ("sum(l_extendedprice * (1 - l_discount))", "sum_disc_price"),
+                (
+                    "sum(l_extendedprice * (1 - l_discount) * (1 + l_tax))",
+                    "sum_charge",
                 ),
-                group_by=["l_returnflag", "l_linestatus"],
-                aggregates=[
-                    ("sum(l_quantity)", "sum_qty"),
-                    ("sum(l_extendedprice)", "sum_base_price"),
-                    ("sum(l_extendedprice * (1 - l_discount))", "sum_disc_price"),
-                    (
-                        "sum(l_extendedprice * (1 - l_discount) * (1 + l_tax))",
-                        "sum_charge",
-                    ),
-                    ("avg(l_quantity)", "avg_qty"),
-                    ("avg(l_extendedprice)", "avg_price"),
-                    ("avg(l_discount)", "avg_disc"),
-                    ("count(*)", "count_order"),
-                ],
-                agg_class="GA",
-            )
+                ("avg(l_quantity)", "avg_qty"),
+                ("avg(l_extendedprice)", "avg_price"),
+                ("avg(l_discount)", "avg_disc"),
+                ("count(*)", "count_order"),
+            ],
+            agg_class="GA",
         ),
     )
 )
@@ -122,8 +105,41 @@ GROUP BY l_returnflag, l_linestatus
 # q2 — minimum-cost supplier (correlated scalar subquery)
 # ---------------------------------------------------------------------------
 
-_Q2_OUTER = QuerySpec(
-    name="q2_outer",
+_Q2_INNER = QuerySpec(
+    name="q2_inner",
+    root=Node(
+        relation="partsupp",
+        need=["ps_partkey", "ps_supplycost"],
+        children=[
+            Node(
+                relation="supplier",
+                parent_join=("ps_suppkey", "s_suppkey"),
+                children=[
+                    Node(
+                        relation="nation",
+                        parent_join=("s_nationkey", "n_nationkey"),
+                        children=[
+                            Node(
+                                relation="region",
+                                parent_join=("n_regionkey", "r_regionkey"),
+                                filter="r_name = 'EUROPE'",
+                            )
+                        ],
+                    )
+                ],
+            )
+        ],
+    ),
+    group_by=["ps_partkey"],
+    aggregates=[("min(ps_supplycost)", "min_cost")],
+    select=[("ps_partkey", "mk"), ("min_cost", "min_cost")],
+    agg_class="LA",
+)
+
+# The paper's forward-lookup subquery strategy run set-at-a-time: every
+# part's minimum supplier cost at once, joined on (part, cost).
+_Q2 = QuerySpec(
+    name="q2",
     root=Node(
         relation="part",
         filter="p_size = 15 AND p_type = 'STANDARD'",
@@ -164,51 +180,10 @@ _Q2_OUTER = QuerySpec(
         ("p_partkey", "p_partkey"),
         ("ps_supplycost", "ps_supplycost"),
     ],
+    subqueries=[
+        Subquery(_Q2_INNER, on=[("p_partkey", "mk"), ("ps_supplycost", "min_cost")])
+    ],
 )
-
-_Q2_INNER = QuerySpec(
-    name="q2_inner",
-    root=Node(
-        relation="partsupp",
-        need=["ps_partkey", "ps_supplycost"],
-        children=[
-            Node(
-                relation="supplier",
-                parent_join=("ps_suppkey", "s_suppkey"),
-                children=[
-                    Node(
-                        relation="nation",
-                        parent_join=("s_nationkey", "n_nationkey"),
-                        children=[
-                            Node(
-                                relation="region",
-                                parent_join=("n_regionkey", "r_regionkey"),
-                                filter="r_name = 'EUROPE'",
-                            )
-                        ],
-                    )
-                ],
-            )
-        ],
-    ),
-    group_by=["ps_partkey"],
-    aggregates=[("min(ps_supplycost)", "min_cost")],
-    select=[("ps_partkey", "mk"), ("min_cost", "min_cost")],
-    agg_class="LA",
-)
-
-
-def _q2_tag(graph: TAGGraph, stats: bool = False):
-    """Decorrelated two-pass execution: the paper's forward-lookup subquery
-    strategy run set-at-a-time (all outer groups' subqueries in parallel)."""
-    outer, s1 = run_spec(graph, _Q2_OUTER, stats=stats)
-    inner, s2 = run_spec(graph, _Q2_INNER, stats=stats)
-    joined = outer.join(
-        inner,
-        on=(outer.p_partkey == inner.mk)
-        & (outer.ps_supplycost == inner.min_cost),
-    ).drop("mk", "min_cost")
-    return joined, _merged(s1, s2)
 
 
 _register(
@@ -232,7 +207,7 @@ WHERE p.p_partkey = ps_partkey AND s_suppkey = ps_suppkey
         AND s2.s_nationkey = n2.n_nationkey
         AND n2.n_regionkey = r2.r_regionkey AND r2.r_name = 'EUROPE')
 """,
-        tag=_q2_tag,
+        spec=_Q2,
     )
 )
 
@@ -255,39 +230,37 @@ WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey
   AND o_orderdate < date '1995-03-15' AND l_shipdate > date '1995-03-15'
 GROUP BY l_orderkey, o_orderdate, o_shippriority
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q3",
-                root=Node(
-                    relation="orders",
-                    filter="o_orderdate < date'1995-03-15'",
-                    need=["o_orderkey", "o_orderdate", "o_shippriority"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("o_custkey", "c_custkey"),
-                            filter="c_mktsegment = 'BUILDING'",
-                        ),
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            filter="l_shipdate > date'1995-03-15'",
-                            need=["l_extendedprice", "l_discount"],
-                        ),
-                    ],
-                ),
-                group_by=["o_orderkey", "o_orderdate", "o_shippriority"],
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
+        spec=QuerySpec(
+            name="q3",
+            root=Node(
+                relation="orders",
+                filter="o_orderdate < date'1995-03-15'",
+                need=["o_orderkey", "o_orderdate", "o_shippriority"],
+                children=[
+                    Node(
+                        relation="customer",
+                        parent_join=("o_custkey", "c_custkey"),
+                        filter="c_mktsegment = 'BUILDING'",
+                    ),
+                    Node(
+                        relation="lineitem",
+                        parent_join=("o_orderkey", "l_orderkey"),
+                        filter="l_shipdate > date'1995-03-15'",
+                        need=["l_extendedprice", "l_discount"],
+                    ),
                 ],
-                select=[
-                    ("o_orderkey", "l_orderkey"),
-                    ("revenue", "revenue"),
-                    ("o_orderdate", "o_orderdate"),
-                    ("o_shippriority", "o_shippriority"),
-                ],
-                agg_class="LA",
-            )
+            ),
+            group_by=["o_orderkey", "o_orderdate", "o_shippriority"],
+            aggregates=[
+                ("sum(l_extendedprice * (1 - l_discount))", "revenue")
+            ],
+            select=[
+                ("o_orderkey", "l_orderkey"),
+                ("revenue", "revenue"),
+                ("o_orderdate", "o_orderdate"),
+                ("o_shippriority", "o_shippriority"),
+            ],
+            agg_class="LA",
         ),
     )
 )
@@ -309,30 +282,27 @@ WHERE o_orderdate >= date '1993-07-01' AND o_orderdate < date '1993-10-01'
               WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate)
 GROUP BY o_orderpriority
 """,
-        tag=lambda graph, stats=False: run_reduction_only(
-            graph,
-            QuerySpec(
-                name="q4",
-                root=Node(
-                    relation="orders",
-                    filter=(
-                        "o_orderdate >= date'1993-07-01' "
-                        "AND o_orderdate < date'1993-10-01'"
-                    ),
-                    need=["o_orderpriority"],
-                    children=[
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            filter="l_commitdate < l_receiptdate",
-                        )
-                    ],
+        spec=QuerySpec(
+            name="q4",
+            root=Node(
+                relation="orders",
+                filter=(
+                    "o_orderdate >= date'1993-07-01' "
+                    "AND o_orderdate < date'1993-10-01'"
                 ),
-                group_by=["o_orderpriority"],
-                aggregates=[("count(*)", "order_count")],
-                agg_class="LA",
+                need=["o_orderpriority"],
+                children=[
+                    Node(
+                        relation="lineitem",
+                        parent_join=("o_orderkey", "l_orderkey"),
+                        filter="l_commitdate < l_receiptdate",
+                    )
+                ],
             ),
-            stats=stats,
+            group_by=["o_orderpriority"],
+            aggregates=[("count(*)", "order_count")],
+            agg_class="LA",
+            reduce_only=True,
         ),
     )
 )
@@ -357,63 +327,61 @@ WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
   AND o_orderdate >= date '1994-01-01' AND o_orderdate < date '1995-01-01'
 GROUP BY n_name
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q5",
-                root=Node(
-                    relation="orders",
-                    filter=(
-                        "o_orderdate >= date'1994-01-01' "
-                        "AND o_orderdate < date'1995-01-01'"
-                    ),
-                    need=["o_orderkey"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("o_custkey", "c_custkey"),
-                            need=["c_nationkey"],
-                        ),
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            need=["l_extendedprice", "l_discount"],
-                            children=[
-                                Node(
-                                    relation="supplier",
-                                    parent_join=("l_suppkey", "s_suppkey"),
-                                    need=["s_nationkey"],
-                                    children=[
-                                        Node(
-                                            relation="nation",
-                                            parent_join=(
-                                                "s_nationkey",
-                                                "n_nationkey",
-                                            ),
-                                            need=["n_name"],
-                                            children=[
-                                                Node(
-                                                    relation="region",
-                                                    parent_join=(
-                                                        "n_regionkey",
-                                                        "r_regionkey",
-                                                    ),
-                                                    filter="r_name = 'ASIA'",
-                                                )
-                                            ],
-                                        )
-                                    ],
-                                )
-                            ],
-                        ),
-                    ],
+        spec=QuerySpec(
+            name="q5",
+            root=Node(
+                relation="orders",
+                filter=(
+                    "o_orderdate >= date'1994-01-01' "
+                    "AND o_orderdate < date'1995-01-01'"
                 ),
-                post_filter="c_nationkey = s_nationkey",
-                group_by=["n_name"],
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
+                need=["o_orderkey"],
+                children=[
+                    Node(
+                        relation="customer",
+                        parent_join=("o_custkey", "c_custkey"),
+                        need=["c_nationkey"],
+                    ),
+                    Node(
+                        relation="lineitem",
+                        parent_join=("o_orderkey", "l_orderkey"),
+                        need=["l_extendedprice", "l_discount"],
+                        children=[
+                            Node(
+                                relation="supplier",
+                                parent_join=("l_suppkey", "s_suppkey"),
+                                need=["s_nationkey"],
+                                children=[
+                                    Node(
+                                        relation="nation",
+                                        parent_join=(
+                                            "s_nationkey",
+                                            "n_nationkey",
+                                        ),
+                                        need=["n_name"],
+                                        children=[
+                                            Node(
+                                                relation="region",
+                                                parent_join=(
+                                                    "n_regionkey",
+                                                    "r_regionkey",
+                                                ),
+                                                filter="r_name = 'ASIA'",
+                                            )
+                                        ],
+                                    )
+                                ],
+                            )
+                        ],
+                    ),
                 ],
-                agg_class="LA",
-            )
+            ),
+            post_filter="c_nationkey = s_nationkey",
+            group_by=["n_name"],
+            aggregates=[
+                ("sum(l_extendedprice * (1 - l_discount))", "revenue")
+            ],
+            agg_class="LA",
         ),
     )
 )
@@ -433,21 +401,19 @@ FROM lineitem
 WHERE l_shipdate >= date '1994-01-01' AND l_shipdate < date '1995-01-01'
   AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q6",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipdate >= date'1994-01-01' "
-                        "AND l_shipdate < date'1995-01-01' "
-                        "AND l_discount BETWEEN 0.05 AND 0.07 "
-                        "AND l_quantity < 24"
-                    ),
+        spec=QuerySpec(
+            name="q6",
+            root=Node(
+                relation="lineitem",
+                filter=(
+                    "l_shipdate >= date'1994-01-01' "
+                    "AND l_shipdate < date'1995-01-01' "
+                    "AND l_discount BETWEEN 0.05 AND 0.07 "
+                    "AND l_quantity < 24"
                 ),
-                aggregates=[("sum(l_extendedprice * l_discount)", "revenue")],
-                agg_class="scalar",
-            )
+            ),
+            aggregates=[("sum(l_extendedprice * l_discount)", "revenue")],
+            agg_class="scalar",
         ),
     )
 )
@@ -474,76 +440,74 @@ WHERE s_suppkey = l_suppkey AND o_orderkey = l_orderkey
   AND l_shipdate BETWEEN date '1995-01-01' AND date '1996-12-31'
 GROUP BY n1.n_name, n2.n_name, year(l_shipdate)
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q7",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipdate BETWEEN date'1995-01-01' "
-                        "AND date'1996-12-31'"
+        spec=QuerySpec(
+            name="q7",
+            root=Node(
+                relation="lineitem",
+                filter=(
+                    "l_shipdate BETWEEN date'1995-01-01' "
+                    "AND date'1996-12-31'"
+                ),
+                need=["l_extendedprice", "l_discount", "l_shipdate"],
+                children=[
+                    Node(
+                        relation="supplier",
+                        parent_join=("l_suppkey", "s_suppkey"),
+                        children=[
+                            Node(
+                                relation="nation",
+                                alias="n1",
+                                parent_join=("s_nationkey", "n_nationkey"),
+                                filter="n_name IN ('FRANCE', 'GERMANY')",
+                                need=["n_name"],
+                            )
+                        ],
                     ),
-                    need=["l_extendedprice", "l_discount", "l_shipdate"],
-                    children=[
-                        Node(
-                            relation="supplier",
-                            parent_join=("l_suppkey", "s_suppkey"),
-                            children=[
-                                Node(
-                                    relation="nation",
-                                    alias="n1",
-                                    parent_join=("s_nationkey", "n_nationkey"),
-                                    filter="n_name IN ('FRANCE', 'GERMANY')",
-                                    need=["n_name"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="orders",
-                            parent_join=("l_orderkey", "o_orderkey"),
-                            children=[
-                                Node(
-                                    relation="customer",
-                                    parent_join=("o_custkey", "c_custkey"),
-                                    children=[
-                                        Node(
-                                            relation="nation",
-                                            alias="n2",
-                                            parent_join=(
-                                                "c_nationkey",
-                                                "n_nationkey",
-                                            ),
-                                            filter=(
-                                                "n_name IN ('FRANCE', 'GERMANY')"
-                                            ),
-                                            need=["n_name"],
-                                        )
-                                    ],
-                                )
-                            ],
-                        ),
-                    ],
-                ),
-                post_filter=(
-                    "(n1_n_name = 'FRANCE' AND n2_n_name = 'GERMANY') "
-                    "OR (n1_n_name = 'GERMANY' AND n2_n_name = 'FRANCE')"
-                ),
-                group_by=[
-                    "n1_n_name",
-                    "n2_n_name",
-                    ("year(l_shipdate)", "l_year"),
+                    Node(
+                        relation="orders",
+                        parent_join=("l_orderkey", "o_orderkey"),
+                        children=[
+                            Node(
+                                relation="customer",
+                                parent_join=("o_custkey", "c_custkey"),
+                                children=[
+                                    Node(
+                                        relation="nation",
+                                        alias="n2",
+                                        parent_join=(
+                                            "c_nationkey",
+                                            "n_nationkey",
+                                        ),
+                                        filter=(
+                                            "n_name IN ('FRANCE', 'GERMANY')"
+                                        ),
+                                        need=["n_name"],
+                                    )
+                                ],
+                            )
+                        ],
+                    ),
                 ],
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
-                ],
-                select=[
-                    ("n1_n_name", "supp_nation"),
-                    ("n2_n_name", "cust_nation"),
-                    ("l_year", "l_year"),
-                    ("revenue", "revenue"),
-                ],
-                agg_class="GA",
-            )
+            ),
+            post_filter=(
+                "(n1_n_name = 'FRANCE' AND n2_n_name = 'GERMANY') "
+                "OR (n1_n_name = 'GERMANY' AND n2_n_name = 'FRANCE')"
+            ),
+            group_by=[
+                "n1_n_name",
+                "n2_n_name",
+                ("year(l_shipdate)", "l_year"),
+            ],
+            aggregates=[
+                ("sum(l_extendedprice * (1 - l_discount))", "revenue")
+            ],
+            select=[
+                ("n1_n_name", "supp_nation"),
+                ("n2_n_name", "cust_nation"),
+                ("l_year", "l_year"),
+                ("revenue", "revenue"),
+            ],
+            agg_class="GA",
         ),
     )
 )
@@ -569,62 +533,60 @@ WHERE s_suppkey = l_suppkey AND ps_suppkey = l_suppkey
   AND p_type = 'PROMO'
 GROUP BY n_name, year(o_orderdate)
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q9",
-                root=Node(
-                    relation="lineitem",
-                    need=[
-                        "l_extendedprice",
-                        "l_discount",
-                        "l_quantity",
-                        "l_suppkey",
-                    ],
-                    children=[
-                        Node(
-                            relation="part",
-                            parent_join=("l_partkey", "p_partkey"),
-                            filter="p_type = 'PROMO'",
-                        ),
-                        Node(
-                            relation="partsupp",
-                            parent_join=("l_partkey", "ps_partkey"),
-                            need=["ps_suppkey", "ps_supplycost"],
-                        ),
-                        Node(
-                            relation="supplier",
-                            parent_join=("l_suppkey", "s_suppkey"),
-                            children=[
-                                Node(
-                                    relation="nation",
-                                    parent_join=("s_nationkey", "n_nationkey"),
-                                    need=["n_name"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="orders",
-                            parent_join=("l_orderkey", "o_orderkey"),
-                            need=["o_orderdate"],
-                        ),
-                    ],
-                ),
-                post_filter="ps_suppkey = l_suppkey",
-                group_by=["n_name", ("year(o_orderdate)", "o_year")],
-                aggregates=[
-                    (
-                        "sum(l_extendedprice * (1 - l_discount) "
-                        "- ps_supplycost * l_quantity)",
-                        "sum_profit",
-                    )
+        spec=QuerySpec(
+            name="q9",
+            root=Node(
+                relation="lineitem",
+                need=[
+                    "l_extendedprice",
+                    "l_discount",
+                    "l_quantity",
+                    "l_suppkey",
                 ],
-                select=[
-                    ("n_name", "nation"),
-                    ("o_year", "o_year"),
-                    ("sum_profit", "sum_profit"),
+                children=[
+                    Node(
+                        relation="part",
+                        parent_join=("l_partkey", "p_partkey"),
+                        filter="p_type = 'PROMO'",
+                    ),
+                    Node(
+                        relation="partsupp",
+                        parent_join=("l_partkey", "ps_partkey"),
+                        need=["ps_suppkey", "ps_supplycost"],
+                    ),
+                    Node(
+                        relation="supplier",
+                        parent_join=("l_suppkey", "s_suppkey"),
+                        children=[
+                            Node(
+                                relation="nation",
+                                parent_join=("s_nationkey", "n_nationkey"),
+                                need=["n_name"],
+                            )
+                        ],
+                    ),
+                    Node(
+                        relation="orders",
+                        parent_join=("l_orderkey", "o_orderkey"),
+                        need=["o_orderdate"],
+                    ),
                 ],
-                agg_class="GA",
-            )
+            ),
+            post_filter="ps_suppkey = l_suppkey",
+            group_by=["n_name", ("year(o_orderdate)", "o_year")],
+            aggregates=[
+                (
+                    "sum(l_extendedprice * (1 - l_discount) "
+                    "- ps_supplycost * l_quantity)",
+                    "sum_profit",
+                )
+            ],
+            select=[
+                ("n_name", "nation"),
+                ("o_year", "o_year"),
+                ("sum_profit", "sum_profit"),
+            ],
+            agg_class="GA",
         ),
     )
 )
@@ -648,50 +610,48 @@ WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
   AND l_returnflag = 'R' AND c_nationkey = n_nationkey
 GROUP BY c_custkey, c_name, c_acctbal, n_name
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q10",
-                root=Node(
-                    relation="orders",
-                    filter=(
-                        "o_orderdate >= date'1993-10-01' "
-                        "AND o_orderdate < date'1994-01-01'"
-                    ),
-                    need=["o_custkey"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("o_custkey", "c_custkey"),
-                            need=["c_name", "c_acctbal"],
-                            children=[
-                                Node(
-                                    relation="nation",
-                                    parent_join=("c_nationkey", "n_nationkey"),
-                                    need=["n_name"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            filter="l_returnflag = 'R'",
-                            need=["l_extendedprice", "l_discount"],
-                        ),
-                    ],
+        spec=QuerySpec(
+            name="q10",
+            root=Node(
+                relation="orders",
+                filter=(
+                    "o_orderdate >= date'1993-10-01' "
+                    "AND o_orderdate < date'1994-01-01'"
                 ),
-                group_by=["o_custkey", "c_name", "c_acctbal", "n_name"],
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
+                need=["o_custkey"],
+                children=[
+                    Node(
+                        relation="customer",
+                        parent_join=("o_custkey", "c_custkey"),
+                        need=["c_name", "c_acctbal"],
+                        children=[
+                            Node(
+                                relation="nation",
+                                parent_join=("c_nationkey", "n_nationkey"),
+                                need=["n_name"],
+                            )
+                        ],
+                    ),
+                    Node(
+                        relation="lineitem",
+                        parent_join=("o_orderkey", "l_orderkey"),
+                        filter="l_returnflag = 'R'",
+                        need=["l_extendedprice", "l_discount"],
+                    ),
                 ],
-                select=[
-                    ("o_custkey", "c_custkey"),
-                    ("c_name", "c_name"),
-                    ("revenue", "revenue"),
-                    ("c_acctbal", "c_acctbal"),
-                    ("n_name", "n_name"),
-                ],
-                agg_class="LA",
-            )
+            ),
+            group_by=["o_custkey", "c_name", "c_acctbal", "n_name"],
+            aggregates=[
+                ("sum(l_extendedprice * (1 - l_discount))", "revenue")
+            ],
+            select=[
+                ("o_custkey", "c_custkey"),
+                ("c_name", "c_name"),
+                ("revenue", "revenue"),
+                ("c_acctbal", "c_acctbal"),
+                ("n_name", "n_name"),
+            ],
+            agg_class="LA",
         ),
     )
 )
@@ -720,42 +680,40 @@ WHERE o_orderkey = l_orderkey AND l_shipmode IN ('MAIL', 'SHIP')
   AND l_receiptdate < date '1995-01-01'
 GROUP BY l_shipmode
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q12",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipmode IN ('MAIL', 'SHIP') "
-                        "AND l_commitdate < l_receiptdate "
-                        "AND l_shipdate < l_commitdate "
-                        "AND l_receiptdate >= date'1994-01-01' "
-                        "AND l_receiptdate < date'1995-01-01'"
-                    ),
-                    need=["l_shipmode"],
-                    children=[
-                        Node(
-                            relation="orders",
-                            parent_join=("l_orderkey", "o_orderkey"),
-                            need=["o_orderpriority"],
-                        )
-                    ],
+        spec=QuerySpec(
+            name="q12",
+            root=Node(
+                relation="lineitem",
+                filter=(
+                    "l_shipmode IN ('MAIL', 'SHIP') "
+                    "AND l_commitdate < l_receiptdate "
+                    "AND l_shipdate < l_commitdate "
+                    "AND l_receiptdate >= date'1994-01-01' "
+                    "AND l_receiptdate < date'1995-01-01'"
                 ),
-                group_by=["l_shipmode"],
-                aggregates=[
-                    (
-                        "sum(CASE WHEN o_orderpriority = '1-URGENT' "
-                        "OR o_orderpriority = '2-HIGH' THEN 1 ELSE 0 END)",
-                        "high_line_count",
-                    ),
-                    (
-                        "sum(CASE WHEN o_orderpriority <> '1-URGENT' "
-                        "AND o_orderpriority <> '2-HIGH' THEN 1 ELSE 0 END)",
-                        "low_line_count",
-                    ),
+                need=["l_shipmode"],
+                children=[
+                    Node(
+                        relation="orders",
+                        parent_join=("l_orderkey", "o_orderkey"),
+                        need=["o_orderpriority"],
+                    )
                 ],
-                agg_class="LA",
-            )
+            ),
+            group_by=["l_shipmode"],
+            aggregates=[
+                (
+                    "sum(CASE WHEN o_orderpriority = '1-URGENT' "
+                    "OR o_orderpriority = '2-HIGH' THEN 1 ELSE 0 END)",
+                    "high_line_count",
+                ),
+                (
+                    "sum(CASE WHEN o_orderpriority <> '1-URGENT' "
+                    "AND o_orderpriority <> '2-HIGH' THEN 1 ELSE 0 END)",
+                    "low_line_count",
+                ),
+            ],
+            agg_class="LA",
         ),
     )
 )
@@ -778,35 +736,33 @@ FROM lineitem, part
 WHERE l_partkey = p_partkey
   AND l_shipdate >= date '1995-09-01' AND l_shipdate < date '1995-10-01'
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q14",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipdate >= date'1995-09-01' "
-                        "AND l_shipdate < date'1995-10-01'"
-                    ),
-                    need=["l_extendedprice", "l_discount"],
-                    children=[
-                        Node(
-                            relation="part",
-                            parent_join=("l_partkey", "p_partkey"),
-                            need=["p_type"],
-                        )
-                    ],
+        spec=QuerySpec(
+            name="q14",
+            root=Node(
+                relation="lineitem",
+                filter=(
+                    "l_shipdate >= date'1995-09-01' "
+                    "AND l_shipdate < date'1995-10-01'"
                 ),
-                aggregates=[
-                    (
-                        "sum(CASE WHEN p_type = 'PROMO' "
-                        "THEN l_extendedprice * (1 - l_discount) ELSE 0 END)",
-                        "promo_sum",
-                    ),
-                    ("sum(l_extendedprice * (1 - l_discount))", "total_sum"),
+                need=["l_extendedprice", "l_discount"],
+                children=[
+                    Node(
+                        relation="part",
+                        parent_join=("l_partkey", "p_partkey"),
+                        need=["p_type"],
+                    )
                 ],
-                select=[("100.00 * promo_sum / total_sum", "promo_revenue")],
-                agg_class="scalar",
-            )
+            ),
+            aggregates=[
+                (
+                    "sum(CASE WHEN p_type = 'PROMO' "
+                    "THEN l_extendedprice * (1 - l_discount) ELSE 0 END)",
+                    "promo_sum",
+                ),
+                ("sum(l_extendedprice * (1 - l_discount))", "total_sum"),
+            ],
+            select=[("100.00 * promo_sum / total_sum", "promo_revenue")],
+            agg_class="scalar",
         ),
     )
 )
@@ -814,27 +770,6 @@ WHERE l_partkey = p_partkey
 # ---------------------------------------------------------------------------
 # q17 — small-quantity-order revenue (correlated scalar subquery per part)
 # ---------------------------------------------------------------------------
-
-_Q17_OUTER = QuerySpec(
-    name="q17_outer",
-    root=Node(
-        relation="lineitem",
-        need=["l_quantity", "l_extendedprice", "l_partkey"],
-        children=[
-            Node(
-                relation="part",
-                parent_join=("l_partkey", "p_partkey"),
-                filter="p_brand = 'Brand#23' AND p_container = 'MED BOX'",
-            )
-        ],
-    ),
-    # p_partkey is merged into l_partkey by the join (equal values).
-    select=[
-        ("l_partkey", "p_partkey"),
-        ("l_quantity", "l_quantity"),
-        ("l_extendedprice", "l_extendedprice"),
-    ],
-)
 
 _Q17_INNER = QuerySpec(
     name="q17_inner",
@@ -855,17 +790,25 @@ _Q17_INNER = QuerySpec(
     agg_class="LA",
 )
 
-
-def _q17_tag(graph: TAGGraph, stats: bool = False):
-    outer, s1 = run_spec(graph, _Q17_OUTER, stats=stats)
-    inner, s2 = run_spec(graph, _Q17_INNER, stats=stats)
-    joined = outer.join(inner, on=outer.p_partkey == inner.ik).where(
-        F.col("l_quantity") < 0.2 * F.col("avg_qty")
-    )
-    result = joined.agg(
-        (F.sum("l_extendedprice") / F.lit(7.0)).alias("avg_yearly")
-    )
-    return result, _merged(s1, s2)
+_Q17 = QuerySpec(
+    name="q17",
+    root=Node(
+        relation="lineitem",
+        need=["l_quantity", "l_extendedprice", "l_partkey"],
+        children=[
+            Node(
+                relation="part",
+                parent_join=("l_partkey", "p_partkey"),
+                filter="p_brand = 'Brand#23' AND p_container = 'MED BOX'",
+            )
+        ],
+    ),
+    # p_partkey is merged into l_partkey by the join (equal values).
+    subqueries=[Subquery(_Q17_INNER, on=[("l_partkey", "ik")])],
+    post_filter="l_quantity < 0.2 * avg_qty",
+    aggregates=[("sum(l_extendedprice) / 7.0", "avg_yearly")],
+    agg_class="scalar",
+)
 
 
 _register(
@@ -882,7 +825,7 @@ WHERE p_partkey = l_partkey
   AND l_quantity < (SELECT 0.2 * avg(l2.l_quantity) FROM lineitem l2
                     WHERE l2.l_partkey = p_partkey)
 """,
-        tag=_q17_tag,
+        spec=_Q17,
     )
 )
 
@@ -904,44 +847,42 @@ WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey
 GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
 HAVING sum(l_quantity) > 212
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q18",
-                root=Node(
-                    relation="orders",
-                    need=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("o_custkey", "c_custkey"),
-                            need=["c_name"],
-                        ),
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            need=["l_quantity"],
-                        ),
-                    ],
-                ),
-                group_by=[
-                    "c_name",
-                    "o_custkey",
-                    "o_orderkey",
-                    "o_orderdate",
-                    "o_totalprice",
+        spec=QuerySpec(
+            name="q18",
+            root=Node(
+                relation="orders",
+                need=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
+                children=[
+                    Node(
+                        relation="customer",
+                        parent_join=("o_custkey", "c_custkey"),
+                        need=["c_name"],
+                    ),
+                    Node(
+                        relation="lineitem",
+                        parent_join=("o_orderkey", "l_orderkey"),
+                        need=["l_quantity"],
+                    ),
                 ],
-                aggregates=[("sum(l_quantity)", "sum_qty")],
-                having="sum_qty > 212",
-                select=[
-                    ("c_name", "c_name"),
-                    ("o_custkey", "c_custkey"),
-                    ("o_orderkey", "o_orderkey"),
-                    ("o_orderdate", "o_orderdate"),
-                    ("o_totalprice", "o_totalprice"),
-                    ("sum_qty", "sum_qty"),
-                ],
-                agg_class="LA",
-            )
+            ),
+            group_by=[
+                "c_name",
+                "o_custkey",
+                "o_orderkey",
+                "o_orderdate",
+                "o_totalprice",
+            ],
+            aggregates=[("sum(l_quantity)", "sum_qty")],
+            having="sum_qty > 212",
+            select=[
+                ("c_name", "c_name"),
+                ("o_custkey", "c_custkey"),
+                ("o_orderkey", "o_orderkey"),
+                ("o_orderdate", "o_orderdate"),
+                ("o_totalprice", "o_totalprice"),
+                ("sum_qty", "sum_qty"),
+            ],
+            agg_class="LA",
         ),
     )
 )
@@ -974,30 +915,28 @@ WHERE p_partkey = l_partkey AND l_shipmode IN ('AIR', 'REG AIR')
   AND l_shipinstruct = 'DELIVER IN PERSON'
   AND {_Q19_DISJUNCTION}
 """,
-        tag=_spec_impl(
-            QuerySpec(
-                name="q19",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipmode IN ('AIR', 'REG AIR') "
-                        "AND l_shipinstruct = 'DELIVER IN PERSON'"
-                    ),
-                    need=["l_quantity", "l_extendedprice", "l_discount"],
-                    children=[
-                        Node(
-                            relation="part",
-                            parent_join=("l_partkey", "p_partkey"),
-                            need=["p_brand", "p_container", "p_size"],
-                        )
-                    ],
+        spec=QuerySpec(
+            name="q19",
+            root=Node(
+                relation="lineitem",
+                filter=(
+                    "l_shipmode IN ('AIR', 'REG AIR') "
+                    "AND l_shipinstruct = 'DELIVER IN PERSON'"
                 ),
-                post_filter=_Q19_DISJUNCTION,
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
+                need=["l_quantity", "l_extendedprice", "l_discount"],
+                children=[
+                    Node(
+                        relation="part",
+                        parent_join=("l_partkey", "p_partkey"),
+                        need=["p_brand", "p_container", "p_size"],
+                    )
                 ],
-                agg_class="scalar",
-            )
+            ),
+            post_filter=_Q19_DISJUNCTION,
+            aggregates=[
+                ("sum(l_extendedprice * (1 - l_discount))", "revenue")
+            ],
+            agg_class="scalar",
         ),
     )
 )
@@ -1005,46 +944,6 @@ WHERE p_partkey = l_partkey AND l_shipmode IN ('AIR', 'REG AIR')
 # ---------------------------------------------------------------------------
 # q20 — potential part promotion (nested correlated subqueries)
 # ---------------------------------------------------------------------------
-
-_Q20_SUPPLIER = QuerySpec(
-    name="q20_supplier",
-    root=Node(
-        relation="supplier",
-        need=["s_suppkey", "s_name", "s_acctbal"],
-        children=[
-            Node(
-                relation="nation",
-                parent_join=("s_nationkey", "n_nationkey"),
-                filter="n_name = 'CANADA'",
-            )
-        ],
-    ),
-    select=[
-        ("s_suppkey", "s_suppkey"),
-        ("s_name", "s_name"),
-        ("s_acctbal", "s_acctbal"),
-    ],
-)
-
-_Q20_PS = QuerySpec(
-    name="q20_ps",
-    root=Node(
-        relation="partsupp",
-        need=["ps_partkey", "ps_suppkey", "ps_availqty"],
-        children=[
-            Node(
-                relation="part",
-                parent_join=("ps_partkey", "p_partkey"),
-                filter="p_type = 'ECONOMY'",
-            )
-        ],
-    ),
-    select=[
-        ("ps_partkey", "ps_partkey"),
-        ("ps_suppkey", "ps_suppkey"),
-        ("ps_availqty", "ps_availqty"),
-    ],
-)
 
 _Q20_LI = QuerySpec(
     name="q20_lineitem",
@@ -1065,26 +964,46 @@ _Q20_LI = QuerySpec(
     agg_class="GA",
 )
 
+# Suppliers with enough stock of some ECONOMY part: the IN-subquery, which
+# itself nests the correlated lineitem sum.
+_Q20_PS = QuerySpec(
+    name="q20_ps",
+    root=Node(
+        relation="partsupp",
+        need=["ps_partkey", "ps_suppkey", "ps_availqty"],
+        children=[
+            Node(
+                relation="part",
+                parent_join=("ps_partkey", "p_partkey"),
+                filter="p_type = 'ECONOMY'",
+            )
+        ],
+    ),
+    subqueries=[
+        Subquery(_Q20_LI, on=[("ps_partkey", "lk"), ("ps_suppkey", "ls")])
+    ],
+    post_filter="ps_availqty > 0.5 * qty_sum",
+    select=[("ps_suppkey", "ps_suppkey")],
+)
 
-def _q20_tag(graph: TAGGraph, stats: bool = False):
-    suppliers, s1 = run_spec(graph, _Q20_SUPPLIER, stats=stats)
-    ps, s2 = run_spec(graph, _Q20_PS, stats=stats)
-    li, s3 = run_spec(graph, _Q20_LI, stats=stats)
-    qualified = (
-        ps.join(
-            li,
-            on=(ps.ps_partkey == li.lk) & (ps.ps_suppkey == li.ls),
-        )
-        .where(F.col("ps_availqty") > 0.5 * F.col("qty_sum"))
-        .select("ps_suppkey")
-        .distinct()
-    )
-    result = suppliers.join(
-        qualified, on=suppliers.s_suppkey == qualified.ps_suppkey
-    ).select(
-        F.col("s_name").alias("s_name"), F.col("s_acctbal").alias("s_acctbal")
-    )
-    return result, _merged(s1, s2, s3)
+_Q20 = QuerySpec(
+    name="q20",
+    root=Node(
+        relation="supplier",
+        need=["s_suppkey", "s_name", "s_acctbal"],
+        children=[
+            Node(
+                relation="nation",
+                parent_join=("s_nationkey", "n_nationkey"),
+                filter="n_name = 'CANADA'",
+            )
+        ],
+    ),
+    subqueries=[
+        Subquery(_Q20_PS, on=[("s_suppkey", "ps_suppkey")], how="left_semi")
+    ],
+    select=[("s_name", "s_name"), ("s_acctbal", "s_acctbal")],
+)
 
 
 _register(
@@ -1107,7 +1026,7 @@ WHERE s_suppkey IN (
             AND l_shipdate < date '1995-01-01'))
   AND s_nationkey = n_nationkey AND n_name = 'CANADA'
 """,
-        tag=_q20_tag,
+        spec=_Q20,
     )
 )
 

@@ -5,11 +5,12 @@ import pandas as pd
 import pytest
 
 from repro import oracle
-from repro.core.collection import left_outer_two_way, node_frame, qualify
+from repro.core.collection import node_frame, qualify
 from repro.core.plan import build_plan, gensteps
 from repro.core.reduction import RunStats, reduce_phase
-from repro.core.spec import Node, Preagg
+from repro.core.spec import Node, Preagg, QuerySpec, Subquery
 from repro.core.tag import TAGGraph
+from repro.core.tagjoin import run_spec
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,19 @@ class TestEagerAggregation:
         )
 
 
+def _left_outer(graph, left: Node, right: Node, on: tuple[str, str]):
+    """§7 left outer join as a ``how="left"`` subquery of the left tree."""
+    spec = QuerySpec(
+        name="outer",
+        root=left,
+        subqueries=[
+            Subquery(QuerySpec(name="right", root=right), on=[on], how="left")
+        ],
+    )
+    df, _ = run_spec(graph, spec)
+    return df
+
+
 class TestOuterJoin:
     def test_left_outer_two_way_matches_sql(self, spark):
         L = pd.DataFrame({"lk": [1, 2, 3], "lv": ["a", "b", "c"]})
@@ -164,7 +178,7 @@ class TestOuterJoin:
         graph = TAGGraph.encode(
             spark, {"L": spark.createDataFrame(L), "R": spark.createDataFrame(Rr)}
         )
-        out = left_outer_two_way(
+        out = _left_outer(
             graph, Node(relation="L"), Node(relation="R"), on=("lk", "rk")
         )
         oracle.assert_equivalent(
@@ -183,7 +197,7 @@ class TestOuterJoin:
         graph = TAGGraph.encode(
             spark, {"L": spark.createDataFrame(L), "R": spark.createDataFrame(Rr)}
         )
-        out = left_outer_two_way(
+        out = _left_outer(
             graph,
             Node(relation="L"),
             Node(relation="R", filter="rv = 'x'"),

@@ -5,7 +5,7 @@ import pandas as pd
 import pytest
 
 from repro import oracle
-from repro.core.spec import Node, QuerySpec
+from repro.core.spec import Node, QuerySpec, Subquery
 from repro.core.tagjoin import run_reduction_only, run_spec, scalar_lookup
 from repro.core.tag import TAGGraph
 
@@ -164,7 +164,7 @@ class TestRunSpec:
                 children=[Node(relation="A", parent_join=("ab", "ab"))],
             ),
         )
-        with pytest.raises(AssertionError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             run_spec(graph, bad)
 
     def test_validate_rejects_missing_parent_join(self):
@@ -172,7 +172,7 @@ class TestRunSpec:
             name="bad",
             root=Node(relation="A", children=[Node(relation="B")]),
         )
-        with pytest.raises(AssertionError, match="parent_join"):
+        with pytest.raises(ValueError, match="parent_join"):
             bad.validate()
 
 
@@ -217,3 +217,60 @@ class TestRunReductionOnly:
             "(SELECT 1 FROM A WHERE ab = bk)",
             **rels,
         )
+
+
+def _sub(on=(("ab", "bk"),), how="inner") -> Subquery:
+    return Subquery(QuerySpec(name="sub", root=Node("B")), on=list(on), how=how)
+
+
+_MEMBER = QuerySpec(name="member", root=Node("A"))
+
+
+class TestValidate:
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            pytest.param(
+                dict(root=Node("A"), union=[_MEMBER]),
+                "exactly one of root and union",
+                id="root_and_union",
+            ),
+            pytest.param(
+                dict(), "exactly one of root and union", id="neither_root_nor_union"
+            ),
+            pytest.param(
+                dict(root=Node("A"), subqueries=[_sub(how="right")]),
+                "unknown subquery how",
+                id="unknown_how",
+            ),
+            pytest.param(
+                dict(root=Node("A"), subqueries=[_sub(on=())]),
+                "empty on",
+                id="empty_on",
+            ),
+            pytest.param(
+                dict(root=Node("A"), reduce_only=True, subqueries=[_sub()]),
+                "reduce_only",
+                id="reduce_only_subqueries",
+            ),
+            pytest.param(
+                dict(union=[_MEMBER], reduce_only=True),
+                "reduce_only",
+                id="reduce_only_union",
+            ),
+        ],
+    )
+    def test_rejects(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            QuerySpec(name="bad", **kw).validate()
+
+    def test_rejects_malformed_nested_spec(self):
+        bad = QuerySpec(name="sub", root=Node("A", children=[Node("B")]))
+        spec = QuerySpec(
+            name="outer",
+            root=Node(relation="A"),
+            subqueries=[Subquery(bad, on=[("ak", "ak")])],
+        )
+        with pytest.raises(ValueError, match="sub: B missing parent_join"):
+            spec.validate()
+

@@ -36,7 +36,7 @@ def test_query_metadata(name):
     assert q.agg_class in ("none", "LA", "GA", "GA_S")
     assert q.tables, "query must declare its input tables"
     assert q.sql.strip().upper().startswith(("SELECT", "WITH"))
-    assert q.tag is not None
+    q.spec.validate()
 
 
 def test_expected_query_set():
